@@ -233,18 +233,18 @@ def _reference_generate_batch(
 # --------------------------------------------------------------------- #
 
 
-def _reference_compact(index: InvertedFilterIndex):
+def _reference_compact(
+    stream_keys: np.ndarray, stream_ids: np.ndarray, stream_paths: list[tuple[int, ...]]
+):
     """The replaced compaction on a forced-collision stream, end to end.
 
-    Mirrors the pre-kernel ``compact()``: stable key sort, vectorised path
-    consistency check, and — because the stream is known to collide — the
-    per-entry Python dict loop (``_compact_chained``) over *every* posting,
-    followed by the probe-table sort.  Returns the slot keys, posting lists
-    and the key-order permutation for the equivalence assertion.
+    Mirrors the pre-kernel ``compact()`` over its tuple posting stream:
+    stable key sort, vectorised path consistency check, and — because the
+    stream is known to collide — the per-entry Python dict loop
+    (``_compact_chained``) over *every* posting, followed by the probe-table
+    sort.  Returns the slot keys, posting lists and the key-order
+    permutation for the equivalence assertion.
     """
-    stream_keys = np.asarray(index._pending_keys, dtype=np.uint64)
-    stream_ids = np.asarray(index._pending_ids, dtype=np.int64)
-    stream_paths = list(index._pending_paths)
     pending_items, pending_offsets = paths_to_csr(stream_paths)
     table_lengths = np.diff(pending_offsets)
 
@@ -343,10 +343,11 @@ def _build_workload(distribution):
 
 
 def _chunked(generate, members, bounds):
-    results = []
-    for start in range(0, len(members), CHUNK):
-        results.extend(generate(members[start : start + CHUNK], bounds[start : start + CHUNK]))
-    return results
+    """``generate`` over engine-sized chunks; one output per chunk."""
+    return [
+        generate(members[start : start + CHUNK], bounds[start : start + CHUNK])
+        for start in range(0, len(members), CHUNK)
+    ]
 
 
 def _results_equal(new: list[PathGenerationResult], old: list[PathGenerationResult]) -> bool:
@@ -375,16 +376,21 @@ def _run_kernels(distribution) -> dict:
     )
 
     new_start = time.perf_counter()
-    new_results = _chunked(
+    new_batches = _chunked(
         lambda m, b: generator.generate_batch(m, b, counters=counters), members, bounds
     )
     new_extension_seconds = time.perf_counter() - new_start
 
     old_start = time.perf_counter()
-    old_results = _chunked(
+    old_chunks = _chunked(
         lambda m, b: _reference_generate_batch(generator, m, b), members, bounds
     )
     old_extension_seconds = time.perf_counter() - old_start
+
+    new_results = [
+        batch.result(vector) for batch in new_batches for vector in range(batch.num_vectors)
+    ]
+    old_results = [result for chunk in old_chunks for result in chunk]
 
     assert _results_equal(new_results, old_results), (
         "kernel path extension diverged from the tuple-frontier reference"
@@ -405,38 +411,25 @@ def _run_kernels(distribution) -> dict:
     )
     keys[collide] = keys[(collide + 1) % num_entries]
 
-    def fill() -> InvertedFilterIndex:
-        store = InvertedFilterIndex()
-        start = 0
-        while start < num_entries:
-            end = start
-            vector_id = entries[start][0]
-            while end < num_entries and entries[end][0] == vector_id:
-                end += 1
-            store.add(
-                vector_id,
-                [entries[position][1] for position in range(start, end)],
-                keys=[int(keys[position]) for position in range(start, end)],
-            )
-            start = end
-        return store
+    stream_ids = np.asarray([vector_id for vector_id, _path in entries], dtype=np.int64)
+    stream_paths = [path for _vector_id, path in entries]
 
     def small_forced_compact() -> None:
         store = InvertedFilterIndex()
-        store.add(0, [(1, 2), (3, 4)], keys=[5, 5])
+        store.add([0, 0], [1, 2, 3, 4], [0, 2, 4], keys=[5, 5])
         store.compact()
 
     warm_up(small_forced_compact)  # JIT-compile chain_resolve before timing
 
-    new_store = fill()
-    old_store = fill()
+    new_store = InvertedFilterIndex()
+    new_store.add(stream_ids, *paths_to_csr(stream_paths), keys=keys)
 
     new_start = time.perf_counter()
     new_store.compact()
     new_compaction_seconds = time.perf_counter() - new_start
 
     old_start = time.perf_counter()
-    key_array, slot_postings, key_order = _reference_compact(old_store)
+    key_array, slot_postings, key_order = _reference_compact(keys, stream_ids, stream_paths)
     old_compaction_seconds = time.perf_counter() - old_start
 
     assert np.array_equal(key_array[key_order], new_store._path_keys), (

@@ -73,6 +73,11 @@ class CorrelatedIndex:
         return self._distribution
 
     @property
+    def dimension(self) -> int:
+        """Universe size ``d``: item ids run over ``[0, d)``."""
+        return self._distribution.dimension
+
+    @property
     def alpha(self) -> float:
         return self._config.alpha
 

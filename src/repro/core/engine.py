@@ -50,10 +50,15 @@ except ImportError:  # pragma: no cover
     resource = None  # type: ignore[assignment]
 
 from repro.core.config import DEFAULT_BATCH_SIZE
-from repro.core.inverted_index import InvertedFilterIndex, _segment_gather
+from repro.core.inverted_index import (
+    InvertedFilterIndex,
+    _inconsistent_groups,
+    _segment_gather,
+    _split_dirty_groups,
+)
 from repro.core.kernels import get_impl, new_counters
 from repro.core.mmap_store import LazyVectorStore
-from repro.core.paths import PathGenerationResult, PathGenerator, default_max_depth
+from repro.core.paths import PathBatch, PathGenerator, default_max_depth
 from repro.core.stats import BatchQueryStats, BuildStats, KernelStats, QueryStats
 from repro.core.thresholds import ThresholdPolicy
 from repro.hashing.pairwise import PathHasher
@@ -366,9 +371,10 @@ class FilterEngine:
         vectors are processed in chunks whose candidate extensions are
         hashed in one vectorised call per recursion level, which is
         substantially faster than per-vector generation while producing
-        exactly the same filters.  The generated postings land in the
-        stores' append-only buffers and are folded into the CSR arrays by
-        one vectorised bulk compaction per repetition at the end.
+        exactly the same filters.  Each chunk's :class:`PathBatch` lands in
+        the stores' append-only buffers as one array chunk, and the chunks
+        are folded into the CSR arrays by one vectorised bulk compaction per
+        repetition at the end.
         """
         build_start = time.perf_counter()
         self._vectors = [frozenset(int(item) for item in members) for members in collection]
@@ -387,14 +393,11 @@ class FilterEngine:
             for start in range(0, len(non_empty), _BUILD_GENERATION_BATCH):
                 chunk = non_empty[start : start + _BUILD_GENERATION_BATCH]
                 bounds = [self._threshold_policy.bind(members) for _, members in chunk]
-                results = generator.generate_batch(
+                batch = generator.generate_batch(
                     [members for _, members in chunk], bounds, counters=counters
                 )
-                for (vector_id, _members), result in zip(chunk, results):
-                    index.add(vector_id, result.paths, keys=result.keys)
-                    stats.total_filters += len(result.paths)
-                    if result.truncated:
-                        stats.truncated_vectors += 1
+                vector_ids = np.asarray([vector_id for vector_id, _ in chunk], dtype=np.int64)
+                self._add_batch(index, vector_ids, batch, stats)
                 stats.generation_batches += 1
         for index in self._indexes:
             index.compact()
@@ -428,15 +431,28 @@ class FilterEngine:
         if not vector:
             return vector_id
         counters = new_counters()
+        members = sorted(vector)
+        bound = self._threshold_policy.bind(members)
+        vector_ids = np.asarray([vector_id], dtype=np.int64)
         for generator, index in zip(self._generators, self._indexes):
-            bound = self._threshold_policy.bind(sorted(vector))
-            result = generator.generate(sorted(vector), bound, counters=counters)
-            index.add(vector_id, result.paths, keys=result.keys)
-            self._build_stats.total_filters += len(result.paths)
-            if result.truncated:
-                self._build_stats.truncated_vectors += 1
+            batch = generator.generate_batch([members], [bound], counters=counters)
+            self._add_batch(index, vector_ids, batch, self._build_stats)
         self._build_stats.kernel.add_counters(counters)
         return vector_id
+
+    @staticmethod
+    def _add_batch(
+        index: InvertedFilterIndex, vector_ids: np.ndarray, batch: PathBatch, stats: BuildStats
+    ) -> None:
+        """File a generated batch under ``vector_ids`` and account it."""
+        index.add(
+            np.repeat(vector_ids, batch.path_counts()),
+            batch.items,
+            batch.path_offsets,
+            batch.keys,
+        )
+        stats.total_filters += batch.num_paths
+        stats.truncated_vectors += int(np.count_nonzero(batch.truncated))
 
     def remove(self, vector_id: int) -> None:
         """Remove a stored vector by id (tombstone; postings are not compacted).
@@ -480,7 +496,7 @@ class FilterEngine:
         if not members:
             return []
         bound = self._threshold_policy.bind(members)
-        return self._generators[repetition].generate(members, bound).paths
+        return self._generators[repetition].generate_batch([members], [bound]).result(0).paths
 
     def query(
         self,
@@ -542,16 +558,16 @@ class FilterEngine:
             # Even for one query the level-synchronous generator wins: it
             # hashes a whole frontier level per call instead of one call per
             # frontier entry, and produces bit-identical paths.
-            generation = self._generators[repetition].generate_batch(
+            batch = self._generators[repetition].generate_batch(
                 [members], [bound], counters=counters
-            )[0]
-            stats.filters_generated += len(generation.paths)
+            )
+            stats.filters_generated += batch.num_paths
             stats.repetitions_used += 1
             inverted = self._indexes[repetition]
             # The routed probe reports which shard each key resolved to, so
             # shard accounting no longer routes the same keys a second time.
             ids, _offsets, route = inverted.probe_batch_routed(
-                generation.paths, generation.keys, shard_workers=self._shard_workers
+                (batch.items, batch.path_offsets), batch.keys, shard_workers=self._shard_workers
             )
             stats.shards_probed += _route_shards(route)
             if not ids.size:
@@ -626,14 +642,14 @@ class FilterEngine:
         impl = get_impl()
         counters = new_counters()
         for repetition in range(self._repetitions):
-            generation = self._generators[repetition].generate_batch(
+            batch = self._generators[repetition].generate_batch(
                 [members], [bound], counters=counters
-            )[0]
-            stats.filters_generated += len(generation.paths)
+            )
+            stats.filters_generated += batch.num_paths
             stats.repetitions_used += 1
             inverted = self._indexes[repetition]
             ids, _offsets, route = inverted.probe_batch_routed(
-                generation.paths, generation.keys, shard_workers=self._shard_workers
+                (batch.items, batch.path_offsets), batch.keys, shard_workers=self._shard_workers
             )
             stats.shards_probed += _route_shards(route)
             stats.candidates_examined += int(ids.size)
@@ -942,17 +958,19 @@ class FilterEngine:
     def _probe_chunk_repetition(
         self,
         inverted: InvertedFilterIndex,
-        generations: Sequence[PathGenerationResult],
+        batch: PathBatch,
         shard_workers: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray, int, int, int, np.ndarray] | None:
         """Resolve one repetition's probes for a whole chunk in one gather.
 
-        The generations' filters are concatenated and deduplicated *by path*
-        (two queries sharing a filter probe it once; deduplicating by folded
-        key alone would let a 64-bit collision hand one path's postings to
-        another — the chunk dedupe must stay as collision-free as
-        :meth:`InvertedFilterIndex.probe_batch` itself), resolved in one
-        array probe (fanned out per shard when the store is sharded and
+        The batch's filters are deduplicated *by path* (two queries sharing
+        a filter probe it once): the keys are stably sorted, the paths of
+        each equal-key run are compared item by item, and only a run holding
+        genuinely different paths (a 64-bit key collision) is split by the
+        exact ``chain_resolve`` kernel — so the dedupe stays as
+        collision-free as :meth:`InvertedFilterIndex.probe_batch` itself.
+        The distinct probes, in key order, are resolved in one array probe
+        (fanned out per shard when the store is sharded and
         ``shard_workers`` is set), and the posting segments are re-expanded
         to per-query collision streams.
 
@@ -966,52 +984,67 @@ class FilterEngine:
         exactly once per chunk-repetition.  Returns ``None`` when no query
         generated any filter.
         """
-        position_by_path: dict[tuple[int, ...], int] = {}
-        unique_paths: list[tuple[int, ...]] = []
-        unique_keys: list[int] = []
-        inverse_list: list[int] = []
-        path_counts = np.empty(len(generations), dtype=np.int64)
-        for position, generation in enumerate(generations):
-            path_counts[position] = len(generation.paths)
-            for path, key in zip(generation.paths, generation.keys):
-                probe = position_by_path.setdefault(path, len(unique_paths))
-                if probe == len(unique_paths):
-                    unique_paths.append(path)
-                    unique_keys.append(key)
-                inverse_list.append(probe)
-        if not inverse_list:
+        num_paths = batch.num_paths
+        if not num_paths:
             return None
-        inverse = np.asarray(inverse_list, dtype=np.int64)
-        keys_arr = np.asarray(unique_keys, dtype=np.uint64)
+        order = np.argsort(batch.keys, kind="stable")
+        keys_sorted = batch.keys[order]
+        run_start = np.empty(num_paths, dtype=bool)
+        run_start[0] = True
+        np.not_equal(keys_sorted[1:], keys_sorted[:-1], out=run_start[1:])
+        probe_sorted = np.cumsum(run_start) - 1
+        path_lengths = np.diff(batch.path_offsets)
+        dirty_runs = _inconsistent_groups(
+            run_start, probe_sorted, order, batch.items, batch.path_offsets, path_lengths
+        )
+        if dirty_runs.size:
+            # Distinct paths sharing a key: one probe per distinct path.
+            # Compaction already counted these chain probes into the build's
+            # work, so the query's comparisons go to a scratch vector.
+            probe_sorted, _dirty_entries = _split_dirty_groups(
+                probe_sorted,
+                dirty_runs,
+                order,
+                batch.items,
+                batch.path_offsets,
+                path_lengths,
+                new_counters(),
+            )
+        inverse = np.empty(num_paths, dtype=np.int64)
+        inverse[order] = probe_sorted
+        distinct = int(probe_sorted.max()) + 1
+        # All paths of a probe are equal, so any one of them represents it.
+        representative = np.empty(distinct, dtype=np.int64)
+        representative[probe_sorted] = order
+        probe_lengths = path_lengths[representative]
+        probe_offsets = np.zeros(distinct + 1, dtype=np.int64)
+        np.cumsum(probe_lengths, out=probe_offsets[1:])
+        probe_items = _segment_gather(
+            batch.items, batch.path_offsets[representative], probe_lengths
+        )
         ids, offsets, route = inverted.probe_batch_routed(
-            unique_paths, keys_arr, shard_workers=shard_workers
+            (probe_items, probe_offsets), batch.keys[representative], shard_workers=shard_workers
         )
         shards = _route_shards(route)
         per_path = np.diff(offsets)[inverse]
         occurrence_ids = _segment_gather(ids, offsets[:-1][inverse], per_path)
         # Per-query boundaries of the expanded collision stream.
-        path_bounds = np.zeros(len(generations) + 1, dtype=np.int64)
-        np.cumsum(path_counts, out=path_bounds[1:])
-        occurrence_bounds = np.zeros(per_path.size + 1, dtype=np.int64)
+        occurrence_bounds = np.zeros(num_paths + 1, dtype=np.int64)
         np.cumsum(per_path, out=occurrence_bounds[1:])
-        query_offsets = occurrence_bounds[path_bounds]
-        # Per-query shard fan-out from the same routing vector (duplicate
-        # keys within a query route identically, so the dedupe is harmless).
-        occurrence_route = route[inverse]
-        query_shards = np.fromiter(
-            (
-                np.unique(occurrence_route[path_bounds[k] : path_bounds[k + 1]]).size
-                for k in range(len(generations))
-            ),
-            dtype=np.int64,
-            count=len(generations),
+        query_offsets = occurrence_bounds[batch.vector_offsets]
+        # Per-query shard fan-out from the same routing vector: the distinct
+        # (query, shard) pairs of the chunk's paths.
+        width = int(route.max()) + 1
+        query_of_path = np.repeat(
+            np.arange(batch.num_vectors, dtype=np.int64), batch.path_counts()
         )
-        distinct = len(unique_paths)
+        pairs = np.unique(query_of_path * width + route[inverse])
+        query_shards = np.bincount(pairs // width, minlength=batch.num_vectors)
         return (
             occurrence_ids,
             query_offsets,
             distinct,
-            int(inverse.size) - distinct,
+            num_paths - distinct,
             shards,
             query_shards,
         )
@@ -1047,19 +1080,19 @@ class FilterEngine:
             if not active:
                 break
             generation_start = time.perf_counter()
-            generations = self._generators[repetition].generate_batch(
+            batch = self._generators[repetition].generate_batch(
                 [members[index] for index in active],
                 [bounds[index] for index in active],
                 counters=counters,
             )
             chunk_stats.generation_seconds += time.perf_counter() - generation_start
             inverted = self._indexes[repetition]
-            for index, generation in zip(active, generations):
+            for index, count in zip(active, batch.path_counts().tolist()):
                 query_stats = chunk_stats.per_query[index]
-                query_stats.filters_generated += len(generation.paths)
+                query_stats.filters_generated += count
                 query_stats.repetitions_used += 1
             merge_start = time.perf_counter()
-            probe = self._probe_chunk_repetition(inverted, generations, shard_workers)
+            probe = self._probe_chunk_repetition(inverted, batch, shard_workers)
             chunk_stats.merge_seconds += time.perf_counter() - merge_start
             if probe is None:
                 continue
@@ -1150,17 +1183,17 @@ class FilterEngine:
 
         for repetition in range(self._repetitions):
             generation_start = time.perf_counter()
-            generations = self._generators[repetition].generate_batch(
+            batch = self._generators[repetition].generate_batch(
                 members, bounds, counters=counters
             )
             chunk_stats.generation_seconds += time.perf_counter() - generation_start
             inverted = self._indexes[repetition]
-            for index, generation in zip(active, generations):
+            for index, count in zip(active, batch.path_counts().tolist()):
                 query_stats = chunk_stats.per_query[index]
-                query_stats.filters_generated += len(generation.paths)
+                query_stats.filters_generated += count
                 query_stats.repetitions_used += 1
             merge_start = time.perf_counter()
-            probe = self._probe_chunk_repetition(inverted, generations, shard_workers)
+            probe = self._probe_chunk_repetition(inverted, batch, shard_workers)
             if probe is not None:
                 occurrence_ids, query_offsets, distinct, duplicate, shards, query_shards = (
                     probe

@@ -16,14 +16,16 @@ occupies one *slot*, and the compacted state lives in five flat numpy arrays
 which is also, verbatim, the on-disk representation used by
 :mod:`repro.core.serialization` (one file holds the arrays, nothing else).
 
-Ingestion is append-only: :meth:`InvertedFilterIndex.add` pushes flat
-``(key, path, vector_id)`` postings onto a pending buffer without resolving
-slots, and :meth:`InvertedFilterIndex.compact` folds the whole buffer into
-the CSR arrays with one stable sort over the folded keys plus ``np.unique``
-style group detection — no per-posting dict lookups.  Slots end up ordered
-by folded key, which doubles as the *probe table*: lookups (scalar and the
-batched :meth:`InvertedFilterIndex.probe_batch`) binary-search the sorted
-key array instead of going through a Python dict.  Because a 64-bit key
+Ingestion is append-only: :meth:`InvertedFilterIndex.add` appends one
+array chunk of ``(vector id, path, key)`` postings — paths in CSR form, as
+:class:`~repro.core.paths.PathBatch` carries them — to a pending buffer
+without resolving slots, and :meth:`InvertedFilterIndex.compact`
+concatenates the chunks and folds them into the CSR arrays with one stable
+sort over the folded keys plus ``np.unique`` style group detection — no
+per-posting dict lookups.  Slots end up ordered by folded key, which
+doubles as the *probe table*: lookups (scalar and the batched
+:meth:`InvertedFilterIndex.probe_batch`) binary-search the sorted key array
+instead of going through a Python dict.  Because a 64-bit key
 could in principle collide, stored paths are compared exactly (vectorised
 during compaction and probing) before a slot is accepted, so lookups remain
 collision-free like the original dict-of-tuples; genuinely colliding keys
@@ -37,10 +39,14 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.core.kernels import get_impl, new_counters
-from repro.core.paths import paths_to_csr
 from repro.hashing.pairwise import fold_path, fold_paths_csr
 
 Path = tuple[int, ...]
+
+#: A set of paths in CSR form ``(items, offsets)``: path ``k`` is
+#: ``items[offsets[k]:offsets[k + 1]]`` (what
+#: :func:`~repro.core.paths.paths_to_csr` returns).
+PathsCSR = tuple[np.ndarray, np.ndarray]
 
 #: Array names of the compacted store, in serialisation order.  The folded
 #: path keys are deliberately absent: they are high-entropy (incompressible)
@@ -70,6 +76,104 @@ def _segment_gather(
     return source[indices]
 
 
+def _inconsistent_groups(
+    group_start: np.ndarray,
+    group_ids: np.ndarray,
+    refs_sorted: np.ndarray,
+    table_items: np.ndarray,
+    table_offsets: np.ndarray,
+    table_lengths: np.ndarray,
+) -> np.ndarray:
+    """Key groups referencing more than one distinct path (sorted ids).
+
+    Checks each adjacent same-key pair of stream entries: identical path
+    references are trivially equal; the rest are compared by length and
+    then item-by-item, all vectorised.  Any group holding two distinct
+    paths has an adjacent pair where the content changes, so pairwise
+    checks find every colliding group.
+    """
+    empty = np.empty(0, dtype=np.int64)
+    adjacent = np.flatnonzero(~group_start[1:])
+    left = refs_sorted[adjacent]
+    right = refs_sorted[adjacent + 1]
+    differing = left != right
+    if not np.any(differing):
+        return empty
+    adjacent = adjacent[differing]
+    left = left[differing]
+    right = right[differing]
+    lengths = table_lengths[left]
+    dirty = lengths != table_lengths[right]
+    check = np.flatnonzero(~dirty & (lengths > 0))
+    if check.size:
+        check_lengths = lengths[check]
+        left_items = _segment_gather(
+            table_items, table_offsets[left[check]], check_lengths
+        )
+        right_items = _segment_gather(
+            table_items, table_offsets[right[check]], check_lengths
+        )
+        mismatched = left_items != right_items
+        if np.any(mismatched):
+            bad = (
+                np.add.reduceat(mismatched, np.cumsum(check_lengths) - check_lengths)
+                > 0
+            )
+            dirty[check[bad]] = True
+    if not np.any(dirty):
+        return empty
+    return np.unique(group_ids[adjacent[dirty] + 1])
+
+
+def _split_dirty_groups(
+    group_ids: np.ndarray,
+    dirty_groups: np.ndarray,
+    refs_sorted: np.ndarray,
+    table_items: np.ndarray,
+    table_offsets: np.ndarray,
+    table_lengths: np.ndarray,
+    counters: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One slot per distinct path: ``(entry_slot, dirty_entries)``.
+
+    ``group_ids`` numbers the key groups of a key-sorted stream whose entry
+    ``i`` refers to path ``refs_sorted[i]`` of the table.  Clean groups keep
+    one slot each; the entries of ``dirty_groups`` go through the
+    ``chain_resolve`` kernel, which gives each distinct path of a group its
+    own slot in first-appearance (stream) order and counts one
+    ``chain_probes`` unit into ``counters`` per representative comparison.
+    Slots are numbered in key order, so ``entry_slot`` is grouped by key;
+    ``dirty_entries`` lists the stream positions of the dirty groups.
+    """
+    num_groups = int(group_ids[-1]) + 1
+    dirty_mask = np.zeros(num_groups, dtype=bool)
+    dirty_mask[dirty_groups] = True
+    entry_sel = np.flatnonzero(dirty_mask[group_ids])
+    sel_refs = refs_sorted[entry_sel]
+    sel_lengths = table_lengths[sel_refs]
+    entry_offsets = np.zeros(entry_sel.size + 1, dtype=np.int64)
+    np.cumsum(sel_lengths, out=entry_offsets[1:])
+    entry_items = _segment_gather(table_items, table_offsets[sel_refs], sel_lengths)
+    sel_groups = group_ids[entry_sel]
+    group_bounds = np.empty(sel_groups.size, dtype=bool)
+    group_bounds[0] = True
+    np.not_equal(sel_groups[1:], sel_groups[:-1], out=group_bounds[1:])
+    group_offsets = np.concatenate(
+        [np.flatnonzero(group_bounds), [sel_groups.size]]
+    ).astype(np.int64)
+
+    sub_slots, group_counts = get_impl().chain_resolve(
+        group_offsets, entry_items, entry_offsets, counters
+    )
+
+    counts_per_group = np.ones(num_groups, dtype=np.int64)
+    counts_per_group[dirty_groups] = group_counts
+    slot_base = np.cumsum(counts_per_group) - counts_per_group
+    entry_slot = slot_base[group_ids]
+    entry_slot[entry_sel] += sub_slots
+    return entry_slot, entry_sel
+
+
 class InvertedFilterIndex:
     """Maps each filter to the sorted list of vector ids that chose it."""
 
@@ -90,11 +194,13 @@ class InvertedFilterIndex:
         self._sorted_keys = np.empty(0, dtype=np.uint64)
         self._key_order = np.empty(0, dtype=np.int64)
         self._has_duplicate_keys = False
-        # Append-only overlay: one (key, path, vector id) triple per posting
-        # added since the last compact().  No slot resolution happens here.
-        self._pending_keys: list[int] = []
-        self._pending_paths: list[Path] = []
-        self._pending_ids: list[int] = []
+        # Append-only overlay: one array chunk per add() since the last
+        # compact() — vector ids, folded keys and path lengths per posting,
+        # plus the chunk's path items.  No slot resolution happens here.
+        self._pending_ids: list[np.ndarray] = []
+        self._pending_keys: list[np.ndarray] = []
+        self._pending_lengths: list[np.ndarray] = []
+        self._pending_items: list[np.ndarray] = []
         self._total_entries = 0
         #: Kernel work counters accumulated by compaction (chain probes when
         #: forced collisions are resolved); callers fold them into BuildStats.
@@ -106,53 +212,65 @@ class InvertedFilterIndex:
 
     def add(
         self,
-        vector_id: int,
-        paths: Iterable[Path],
-        keys: Sequence[int] | None = None,
+        vector_ids: Sequence[int] | np.ndarray,
+        items: Sequence[int] | np.ndarray,
+        offsets: Sequence[int] | np.ndarray,
+        keys: Sequence[int] | np.ndarray | None = None,
     ) -> int:
-        """Register all filters of one vector.  Returns the number added.
+        """Register one posting per path.  Returns the number added.
 
-        ``keys``, when given, must hold the folded key of each path (as
-        produced by the path generators); this skips the per-path re-fold on
-        the build hot path.  The postings land in a flat pending buffer and
-        are merged into the CSR arrays by the next :meth:`compact` (which
-        every read path triggers automatically), so the per-posting cost is
-        three list appends.
+        Path ``k`` is ``items[offsets[k]:offsets[k + 1]]`` and is filed under
+        vector ``vector_ids[k]`` — a :class:`~repro.core.paths.PathBatch`
+        passes its ``items``/``path_offsets`` as they are.  ``keys``, when
+        given, must hold the folded key of each path (as produced by the
+        path generators); otherwise the paths are folded here.  The arrays
+        are copied into a pending chunk and merged into the CSR arrays by
+        the next :meth:`compact` (which every read path triggers
+        automatically), so an add costs a few array copies whatever the
+        number of paths.
         """
-        if vector_id < 0:
-            raise ValueError(f"vector_id must be non-negative, got {vector_id}")
-        paths = [tuple(path) for path in paths]
-        if keys is None:
-            keys = [fold_path(path) for path in paths]
-        elif len(paths) != len(keys):
+        items = np.array(items, dtype=np.int64)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        lengths = np.diff(offsets)
+        if (
+            offsets.ndim != 1
+            or offsets.size == 0
+            or offsets[0] != 0
+            or offsets[-1] != items.size
+            or np.any(lengths < 0)
+        ):
+            raise ValueError("offsets must rise from 0 to the number of items")
+        num_paths = lengths.size
+        vector_ids = np.array(vector_ids, dtype=np.int64)
+        if vector_ids.shape != (num_paths,):
+            raise ValueError(f"got {vector_ids.size} vector ids for {num_paths} paths")
+        if num_paths and int(vector_ids.min()) < 0:
+            raise ValueError("vector ids must be non-negative")
+        keys = np.array(
+            fold_paths_csr(items, offsets) if keys is None else keys, dtype=np.uint64
+        )
+        if keys.shape != (num_paths,):
             raise ValueError(
-                f"got {len(keys)} keys for {len(paths)} paths; need one per path"
+                f"got {keys.size} keys for {num_paths} paths; need one per path"
             )
-        self._pending_paths.extend(paths)
-        self._pending_keys.extend(int(key) for key in keys)
-        self._pending_ids.extend([vector_id] * len(paths))
-        self._total_entries += len(paths)
-        return len(paths)
-
-    def add_many(self, filters_per_vector: Sequence[Iterable[Path]]) -> int:
-        """Register filters of many vectors, ids being their positions."""
-        total = 0
-        for vector_id, paths in enumerate(filters_per_vector):
-            total += self.add(vector_id, paths)
-        return total
+        if num_paths:
+            self._pending_ids.append(vector_ids)
+            self._pending_keys.append(keys)
+            self._pending_lengths.append(lengths)
+            self._pending_items.append(items)
+            self._total_entries += num_paths
+        return num_paths
 
     def add_postings(self, path: Path, vector_ids: Sequence[int]) -> None:
         """Restore a full posting list for one filter (used when loading a
         serialised index); appends to any existing postings for that filter."""
-        vector_ids = [int(v) for v in vector_ids]
-        if any(vector_id < 0 for vector_id in vector_ids):
-            raise ValueError("vector ids must be non-negative")
-        path = tuple(path)
-        key = fold_path(path)
-        self._pending_paths.extend([path] * len(vector_ids))
-        self._pending_keys.extend([key] * len(vector_ids))
-        self._pending_ids.extend(vector_ids)
-        self._total_entries += len(vector_ids)
+        vector_ids = np.asarray(vector_ids, dtype=np.int64).reshape(-1)
+        path_items = np.asarray(path, dtype=np.int64).reshape(-1)
+        self.add(
+            vector_ids,
+            np.tile(path_items, vector_ids.size),
+            np.arange(vector_ids.size + 1, dtype=np.int64) * path_items.size,
+        )
 
     # ------------------------------------------------------------------ #
     # Compaction (vectorised bulk ingestion)
@@ -174,9 +292,11 @@ class InvertedFilterIndex:
         if not self._pending_keys:
             return
 
-        pending_keys = np.asarray(self._pending_keys, dtype=np.uint64)
-        pending_ids = np.asarray(self._pending_ids, dtype=np.int64)
-        pending_items, pending_offsets = paths_to_csr(self._pending_paths)
+        pending_keys = np.concatenate(self._pending_keys)
+        pending_ids = np.concatenate(self._pending_ids)
+        pending_items = np.concatenate(self._pending_items)
+        pending_offsets = np.zeros(pending_keys.size + 1, dtype=np.int64)
+        np.cumsum(np.concatenate(self._pending_lengths), out=pending_offsets[1:])
         num_pending = pending_keys.size
         frozen_slots = self._path_keys.size
         frozen_counts = np.diff(self._posting_offsets)
@@ -217,7 +337,7 @@ class InvertedFilterIndex:
         np.not_equal(keys_sorted[1:], keys_sorted[:-1], out=group_start[1:])
         group_ids = np.cumsum(group_start) - 1
 
-        dirty_groups = self._inconsistent_groups(
+        dirty_groups = _inconsistent_groups(
             group_start, group_ids, refs_sorted, table_items, table_offsets, table_lengths
         )
         if dirty_groups.size:
@@ -257,55 +377,6 @@ class InvertedFilterIndex:
         self._has_duplicate_keys = False
         self._clear_pending()
 
-    @staticmethod
-    def _inconsistent_groups(
-        group_start: np.ndarray,
-        group_ids: np.ndarray,
-        refs_sorted: np.ndarray,
-        table_items: np.ndarray,
-        table_offsets: np.ndarray,
-        table_lengths: np.ndarray,
-    ) -> np.ndarray:
-        """Key groups referencing more than one distinct path (sorted ids).
-
-        Checks each adjacent same-key pair of stream entries: identical path
-        references are trivially equal; the rest are compared by length and
-        then item-by-item, all vectorised.  Any group holding two distinct
-        paths has an adjacent pair where the content changes, so pairwise
-        checks find every colliding group.
-        """
-        empty = np.empty(0, dtype=np.int64)
-        adjacent = np.flatnonzero(~group_start[1:])
-        left = refs_sorted[adjacent]
-        right = refs_sorted[adjacent + 1]
-        differing = left != right
-        if not np.any(differing):
-            return empty
-        adjacent = adjacent[differing]
-        left = left[differing]
-        right = right[differing]
-        lengths = table_lengths[left]
-        dirty = lengths != table_lengths[right]
-        check = np.flatnonzero(~dirty & (lengths > 0))
-        if check.size:
-            check_lengths = lengths[check]
-            left_items = _segment_gather(
-                table_items, table_offsets[left[check]], check_lengths
-            )
-            right_items = _segment_gather(
-                table_items, table_offsets[right[check]], check_lengths
-            )
-            mismatched = left_items != right_items
-            if np.any(mismatched):
-                bad = (
-                    np.add.reduceat(mismatched, np.cumsum(check_lengths) - check_lengths)
-                    > 0
-                )
-                dirty[check[bad]] = True
-        if not np.any(dirty):
-            return empty
-        return np.unique(group_ids[adjacent[dirty] + 1])
-
     def _compact_with_chains(
         self,
         keys_sorted: np.ndarray,
@@ -328,33 +399,16 @@ class InvertedFilterIndex:
         posting lists stay in original stream order exactly as the clean
         path produces them.
         """
-        num_groups = int(group_ids[-1]) + 1
-        dirty_mask = np.zeros(num_groups, dtype=bool)
-        dirty_mask[dirty_groups] = True
-        entry_sel = np.flatnonzero(dirty_mask[group_ids])
-        sel_refs = refs_sorted[entry_sel]
-        sel_lengths = table_lengths[sel_refs]
-        entry_offsets = np.zeros(entry_sel.size + 1, dtype=np.int64)
-        np.cumsum(sel_lengths, out=entry_offsets[1:])
-        entry_items = _segment_gather(table_items, table_offsets[sel_refs], sel_lengths)
-        sel_groups = group_ids[entry_sel]
-        group_bounds = np.empty(sel_groups.size, dtype=bool)
-        group_bounds[0] = True
-        np.not_equal(sel_groups[1:], sel_groups[:-1], out=group_bounds[1:])
-        group_offsets = np.concatenate(
-            [np.flatnonzero(group_bounds), [sel_groups.size]]
-        ).astype(np.int64)
-
-        sub_slots, group_counts = get_impl().chain_resolve(
-            group_offsets, entry_items, entry_offsets, self.kernel_counters
+        entry_slot, entry_sel = _split_dirty_groups(
+            group_ids,
+            dirty_groups,
+            refs_sorted,
+            table_items,
+            table_offsets,
+            table_lengths,
+            self.kernel_counters,
         )
-
-        counts_per_group = np.ones(num_groups, dtype=np.int64)
-        counts_per_group[dirty_groups] = group_counts
-        slot_base = np.cumsum(counts_per_group) - counts_per_group
-        entry_slot = slot_base[group_ids]
-        entry_slot[entry_sel] += sub_slots
-        num_slots = int(counts_per_group.sum())
+        num_slots = int(entry_slot.max()) + 1
 
         # The stream is already grouped by key — and therefore by slot base —
         # so only the dirty groups' entries can be out of slot order.  Permute
@@ -387,9 +441,10 @@ class InvertedFilterIndex:
         self._clear_pending()
 
     def _clear_pending(self) -> None:
-        self._pending_keys = []
-        self._pending_paths = []
         self._pending_ids = []
+        self._pending_keys = []
+        self._pending_lengths = []
+        self._pending_items = []
 
     def _build_probe_tables(self) -> None:
         self._key_order = np.argsort(self._path_keys, kind="stable").astype(np.int64)
@@ -571,7 +626,7 @@ class InvertedFilterIndex:
 
     def probe_batch(
         self,
-        paths: Sequence[Path],
+        paths: PathsCSR,
         keys: Sequence[int] | np.ndarray,
         shard_workers: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -581,7 +636,7 @@ class InvertedFilterIndex:
 
     def probe_batch_routed(
         self,
-        paths: Sequence[Path],
+        paths: PathsCSR,
         keys: Sequence[int] | np.ndarray,
         shard_workers: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -590,8 +645,9 @@ class InvertedFilterIndex:
         Parameters
         ----------
         paths:
-            The probed filters (used only to verify stored paths exactly, so
-            a 64-bit key collision cannot surface foreign postings).
+            The probed filters in CSR form ``(items, offsets)`` (used only to
+            verify stored paths exactly, so a 64-bit key collision cannot
+            surface foreign postings).
         keys:
             The folded key of each path, as returned by the generators.
         shard_workers:
@@ -614,7 +670,9 @@ class InvertedFilterIndex:
             materialised.
         """
         self.compact()
-        num_probes = len(paths)
+        probe_items = np.asarray(paths[0], dtype=np.int64)
+        probe_offsets = np.asarray(paths[1], dtype=np.int64)
+        num_probes = probe_offsets.size - 1
         empty = np.empty(0, dtype=np.int64)
         route = np.zeros(num_probes, dtype=np.int64)
         if num_probes == 0:
@@ -630,7 +688,6 @@ class InvertedFilterIndex:
         slots = np.where(found, self._key_order[clipped], 0)
 
         # Exact path verification, vectorised: lengths first, then items.
-        probe_items, probe_offsets = paths_to_csr(paths)
         probe_lengths = np.diff(probe_offsets)
         slot_lengths = self._path_offsets[slots + 1] - self._path_offsets[slots]
         match = found & (slot_lengths == probe_lengths)
@@ -651,7 +708,8 @@ class InvertedFilterIndex:
             # scan: re-resolve every probe whose key exists in the table but
             # whose first-position slot did not verify.
             for probe in np.flatnonzero(found & ~match).tolist():
-                slot = self._slot_for(tuple(paths[probe]), int(keys_arr[probe]))
+                path = probe_items[probe_offsets[probe] : probe_offsets[probe + 1]]
+                slot = self._slot_for(tuple(path.tolist()), int(keys_arr[probe]))
                 if slot is not None:
                     slots[probe] = slot
                     match[probe] = True

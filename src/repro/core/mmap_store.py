@@ -37,7 +37,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.inverted_index import InvertedFilterIndex, _segment_gather
+from repro.core.inverted_index import InvertedFilterIndex, PathsCSR, _segment_gather
 from repro.core.paths import paths_to_csr
 from repro.hashing.pairwise import fold_path
 
@@ -366,7 +366,7 @@ class ShardedInvertedFilterIndex:
 
     def probe_batch(
         self,
-        paths: Sequence[Path],
+        paths: PathsCSR,
         keys: Sequence[int] | np.ndarray,
         shard_workers: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -376,28 +376,30 @@ class ShardedInvertedFilterIndex:
 
     def probe_batch_routed(
         self,
-        paths: Sequence[Path],
+        paths: PathsCSR,
         keys: Sequence[int] | np.ndarray,
         shard_workers: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Resolve many probes at once; CSR slices of their posting lists.
 
         Same contract as :meth:`InvertedFilterIndex.probe_batch_routed` —
-        one concatenated ``posting_ids`` array plus ``len(paths) + 1``
-        offsets, in probe order, missing filters contributing empty segments
-        and results bit-identical to probing the unsharded store.  Each
+        probes in CSR form ``(items, offsets)``, one concatenated
+        ``posting_ids`` array plus one offset per probe and a leading zero,
+        in probe order, missing filters contributing empty segments and
+        results bit-identical to probing the unsharded store.  Each
         probe key is routed to its shard via the manifest fences, and the
         computed ``route`` (shard index per probe) is returned so callers
         can account shard fan-out without re-routing the same keys; with
         ``shard_workers`` set (or the instance default), independent shards
         resolve and gather concurrently on a thread pool.
         """
-        num_probes = len(paths)
+        probe_items = np.asarray(paths[0], dtype=np.int64)
+        probe_offsets = np.asarray(paths[1], dtype=np.int64)
+        num_probes = probe_offsets.size - 1
         empty = np.empty(0, dtype=np.int64)
         if num_probes == 0:
             return empty, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
         keys_arr = np.ascontiguousarray(keys, dtype=np.uint64)
-        probe_items, probe_offsets = paths_to_csr(paths)
         probe_starts = probe_offsets[:-1]
         probe_lengths = np.diff(probe_offsets)
         route = route_keys(self._fences, keys_arr)
@@ -455,7 +457,7 @@ class ShardedInvertedFilterIndex:
 
     def lookup_keyed(self, path: Path, key: int) -> list[int]:
         """:meth:`lookup` with the path's folded key already in hand."""
-        ids, _offsets = self.probe_batch([tuple(path)], [int(key)])
+        ids, _offsets = self.probe_batch(paths_to_csr([path]), [int(key)])
         return ids.tolist()
 
     def candidates(
@@ -465,7 +467,7 @@ class ShardedInvertedFilterIndex:
         paths = [tuple(path) for path in paths]
         if keys is None:
             keys = [fold_path(path) for path in paths]
-        ids, _offsets = self.probe_batch(paths, keys)
+        ids, _offsets = self.probe_batch(paths_to_csr(paths), keys)
         yield from ids.tolist()
 
     def __contains__(self, path: Path) -> bool:
@@ -503,9 +505,6 @@ class ShardedInvertedFilterIndex:
     # ------------------------------------------------------------------ #
 
     def add(self, *_args: Any, **_kwargs: Any) -> int:
-        raise MmapReadOnlyError(_MMAP_READ_ONLY_ERROR)
-
-    def add_many(self, *_args: Any, **_kwargs: Any) -> int:
         raise MmapReadOnlyError(_MMAP_READ_ONLY_ERROR)
 
     def add_postings(self, *_args: Any, **_kwargs: Any) -> None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -34,19 +35,14 @@ Path = tuple[int, ...]
 def paths_to_csr(paths: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     """Flatten a list of paths into CSR form ``(items, offsets)``.
 
-    Path ``k`` occupies ``items[offsets[k]:offsets[k + 1]]``.  This is the
-    bridge between the tuple-of-ints world of the generators and the
-    array-native probe/merge pipeline: the inverted index consumes the CSR
-    view for vectorised path verification and bulk ingestion.
+    Path ``k`` occupies ``items[offsets[k]:offsets[k + 1]]``.  This is where
+    tuples enter the array pipeline: the small-batch generator's output and
+    the tuple-taking lookups of the postings stores.
     """
-    lengths = np.fromiter((len(path) for path in paths), dtype=np.int64, count=len(paths))
+    lengths = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
     offsets = np.zeros(len(paths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
-    items = np.fromiter(
-        (item for path in paths for item in path),
-        dtype=np.int64,
-        count=int(offsets[-1]),
-    )
+    items = np.fromiter(chain.from_iterable(paths), dtype=np.int64, count=int(offsets[-1]))
     return items, offsets
 
 
@@ -115,15 +111,14 @@ def default_max_depth(num_vectors: int, max_probability: float) -> int:
 
 @dataclass
 class PathGenerationResult:
-    """Outcome of generating the filters of one vector.
+    """The filters of one vector as path tuples.
 
-    ``keys`` carries the folded 64-bit key (:func:`~repro.hashing.pairwise.
-    fold_path`) of each path, parallel to ``paths``.  The generators track
-    keys incrementally anyway (they are the hash inputs), so exposing them
-    lets the inverted index file and probe postings without re-folding every
-    path in Python.  The field is required and validated against ``paths``
-    because downstream consumers zip the two lists — a silent length
-    mismatch would truncate candidate enumeration to nothing.
+    This is what the serial reference :meth:`PathGenerator.generate` returns
+    and what :meth:`PathBatch.result` produces for one vector of a batch, so
+    tests compare the two directly.  ``keys`` carries the folded 64-bit key
+    (:func:`~repro.hashing.pairwise.fold_path`) of each path, parallel to
+    ``paths``; the field is validated against ``paths`` because consumers
+    zip the two lists.
     """
 
     paths: list[Path]
@@ -137,6 +132,54 @@ class PathGenerationResult:
                 f"got {len(self.keys)} keys for {len(self.paths)} paths; "
                 "need exactly one key per path"
             )
+
+
+@dataclass(frozen=True, eq=False)
+class PathBatch:
+    """The filters of a batch of vectors as one CSR object.
+
+    Path ``k`` is ``items[path_offsets[k]:path_offsets[k + 1]]`` and its
+    folded 64-bit key is ``keys[k]``.  Vector ``v`` owns paths
+    ``vector_offsets[v]:vector_offsets[v + 1]``, in the serial generation
+    order of :meth:`PathGenerator.generate`; ``truncated[v]`` and
+    ``expansions[v]`` are its ``max_paths`` flag and node-expansion count.
+    The batch runs unchanged from the generator into
+    :meth:`~repro.core.inverted_index.InvertedFilterIndex.add` and the probe
+    pipeline; :meth:`result` is the per-vector tuple view.
+    """
+
+    items: np.ndarray
+    path_offsets: np.ndarray
+    keys: np.ndarray
+    vector_offsets: np.ndarray
+    truncated: np.ndarray
+    expansions: np.ndarray
+
+    @property
+    def num_vectors(self) -> int:
+        return int(self.vector_offsets.size) - 1
+
+    @property
+    def num_paths(self) -> int:
+        return int(self.keys.size)
+
+    def path_counts(self) -> np.ndarray:
+        """Number of paths of each vector."""
+        return np.diff(self.vector_offsets)
+
+    def result(self, vector: int) -> PathGenerationResult:
+        """Vector ``vector``'s filters as tuples."""
+        start = int(self.vector_offsets[vector])
+        end = int(self.vector_offsets[vector + 1])
+        bounds = self.path_offsets[start : end + 1].tolist()
+        flat = self.items[bounds[0] : bounds[-1]].tolist()
+        base = bounds[0]
+        return PathGenerationResult(
+            paths=[tuple(flat[lo - base : hi - base]) for lo, hi in zip(bounds, bounds[1:])],
+            truncated=bool(self.truncated[vector]),
+            expansions=int(self.expansions[vector]),
+            keys=self.keys[start:end].tolist(),
+        )
 
 
 class PathGenerator:
@@ -236,7 +279,10 @@ class PathGenerator:
         counters:
             Optional kernel counter vector (:func:`repro.core.kernels.
             new_counters`); when given, ``keys_folded`` and
-            ``paths_extended`` are accumulated into it.
+            ``paths_extended`` are accumulated into it.  ``keys_folded``
+            counts every candidate of every level reached, as the batched
+            kernels fold them: on a ``max_paths`` cutoff the candidates of
+            the level's remaining entries count too.
 
         Returns
         -------
@@ -276,6 +322,7 @@ class PathGenerator:
             if not frontier:
                 break
             next_frontier: list[tuple[Path, int, float, np.ndarray]] = []
+            keys_folded += sum(int(np.count_nonzero(~entry[3])) for entry in frontier)
             for path, path_key, log_product, used_mask in frontier:
                 available = ~used_mask
                 if not np.any(available):
@@ -288,7 +335,6 @@ class PathGenerator:
                     path_key, candidate_items, level
                 )
                 chosen = hash_values < probabilities
-                keys_folded += int(candidate_items.size)
                 for position, item, take in zip(
                     candidate_positions, candidate_items, chosen
                 ):
@@ -338,18 +384,21 @@ class PathGenerator:
         items_per_vector: Sequence[Sequence[int]],
         thresholds: Sequence[BoundThreshold],
         counters: np.ndarray | None = None,
-    ) -> list[PathGenerationResult]:
+    ) -> PathBatch:
         """Generate the filters of many vectors in one level-synchronous pass.
 
         Semantically equivalent to ``[generate(items, bound) for items, bound
-        in zip(...)]`` — every vector's paths come back in the same order,
-        with the same truncation behaviour — but the whole batch frontier is
-        carried as flat CSR arrays (extended keys, available-item bitmask
-        words, log products) and each level is extended by a single
-        ``extend_level`` kernel call (:func:`repro.core.kernels.get_impl`),
-        so the per-candidate work runs in compiled or vectorised code instead
-        of a Python loop per frontier tuple.  Paths only materialise as
-        tuples at the very end, by walking a parent-pointer arena.
+        in zip(...)]`` — ``result(v)`` of the returned :class:`PathBatch`
+        equals the serial result of vector ``v``: same paths in the same
+        order, same keys, truncation and expansion counts — but the whole
+        batch frontier is carried as flat CSR arrays (extended keys,
+        available-item bitmask words, log products) and each level is
+        extended by a single ``extend_level`` kernel call
+        (:func:`repro.core.kernels.get_impl`), so the per-candidate work runs
+        in compiled or vectorised code instead of a Python loop per frontier
+        tuple.  Every chosen extension becomes a node of an ``(item, parent,
+        depth)`` arena; the output paths are filled from that arena with at
+        most ``max_depth`` vectorised parent-pointer gathers.
 
         ``counters`` (optional, from :func:`repro.core.kernels.new_counters`)
         accumulates the kernel's per-stage work counts.
@@ -357,8 +406,6 @@ class PathGenerator:
         if len(items_per_vector) != len(thresholds):
             raise ValueError("need exactly one threshold per vector")
         num_vectors = len(items_per_vector)
-        if num_vectors == 0:
-            return []
         if counters is None:
             counters = new_counters()
         if num_vectors <= _SMALL_BATCH_MAX:
@@ -409,14 +456,18 @@ class PathGenerator:
             if remainder:
                 f_masks[row, full_words] = np.uint64((1 << remainder) - 1)
 
-        # Parent-pointer arena of every chosen extension; finished paths and
-        # surviving frontier entries are materialised from it at the end.
-        arena_items: list[np.ndarray] = []
-        arena_parents: list[np.ndarray] = []
+        # Parent-pointer arena of every chosen extension, with each node's
+        # depth (its path length), and the output paths as (vector, arena
+        # node, key) records; the paths are materialised from the arena at
+        # the end.
+        empty = np.zeros(0, dtype=np.int64)
+        arena_items = [empty]
+        arena_parents = [empty]
+        arena_depths = [empty]
         arena_size = 0
-        finished_vec_parts: list[np.ndarray] = []
-        finished_node_parts: list[np.ndarray] = []
-        finished_key_parts: list[np.ndarray] = []
+        out_vec = [empty]
+        out_nodes = [empty]
+        out_keys = [np.zeros(0, dtype=np.uint64)]
         finished_counts = np.zeros(num_vectors, dtype=np.int64)
         expansions = np.zeros(num_vectors, dtype=np.int64)
         truncated = np.zeros(num_vectors, dtype=np.bool_)
@@ -493,14 +544,15 @@ class PathGenerator:
             node_ids = arena_size + np.arange(kept.size, dtype=np.int64)
             arena_items.append(cand_items[kept])
             arena_parents.append(f_nodes[entry_index[kept]])
+            arena_depths.append(np.full(kept.size, level + 1, dtype=np.int64))
             arena_size += int(kept.size)
 
             finished_sel = kept_status == 2
             if finished_sel.any():
                 finished_vectors = kept_vec[finished_sel]
-                finished_vec_parts.append(finished_vectors)
-                finished_node_parts.append(node_ids[finished_sel])
-                finished_key_parts.append(kept_keys[finished_sel])
+                out_vec.append(finished_vectors)
+                out_nodes.append(node_ids[finished_sel])
+                out_keys.append(kept_keys[finished_sel])
                 finished_counts += np.bincount(finished_vectors, minlength=num_vectors)
 
             child_sel = kept_status == 1
@@ -539,74 +591,56 @@ class PathGenerator:
             f_nodes = child_nodes
             f_masks = np.ascontiguousarray(child_masks)
 
-        # --- materialisation: walk parent pointers back to path tuples ----
-        if arena_size:
-            all_node_items = np.concatenate(arena_items)
-            all_node_parents = np.concatenate(arena_parents)
-        else:
-            all_node_items = np.zeros(0, dtype=np.int64)
-            all_node_parents = np.zeros(0, dtype=np.int64)
-
-        def materialise(node: int) -> Path:
-            reversed_items: list[int] = []
-            while node >= 0:
-                reversed_items.append(int(all_node_items[node]))
-                node = int(all_node_parents[node])
-            reversed_items.reverse()
-            return tuple(reversed_items)
-
-        if finished_vec_parts:
-            finished_vec = np.concatenate(finished_vec_parts)
-            finished_nodes = np.concatenate(finished_node_parts)
-            finished_keys = np.concatenate(finished_key_parts)
-        else:
-            finished_vec = np.zeros(0, dtype=np.int64)
-            finished_nodes = np.zeros(0, dtype=np.int64)
-            finished_keys = np.zeros(0, dtype=np.uint64)
+        # --- materialisation: the output paths, grouped by vector ---------
         # Finished records accumulate level-major but grouped by vector
-        # within each level; a stable sort by vector therefore recovers each
-        # vector's serial generation order.
-        finished_order = np.argsort(finished_vec, kind="stable")
-        finished_vec = finished_vec[finished_order]
-        finished_nodes = finished_nodes[finished_order]
-        finished_keys = finished_keys[finished_order]
-        vector_range = np.arange(num_vectors, dtype=np.int64)
-        finished_starts = np.searchsorted(finished_vec, vector_range, side="left")
-        finished_ends = np.searchsorted(finished_vec, vector_range, side="right")
-        frontier_starts = np.searchsorted(f_vec, vector_range, side="left")
-        frontier_ends = np.searchsorted(f_vec, vector_range, side="right")
+        # within each level, and the collected tail (the surviving frontier,
+        # or the children parked by ``max_paths``) comes after them; a
+        # stable sort by vector therefore recovers each vector's serial
+        # generation order.
+        if self._collect_at_max_depth:
+            out_vec.append(f_vec)
+            out_nodes.append(f_nodes)
+            out_keys.append(f_keys)
+            for vector, (tail_nodes, tail_keys) in parked.items():
+                out_vec.append(np.full(tail_nodes.size, vector, dtype=np.int64))
+                out_nodes.append(tail_nodes)
+                out_keys.append(tail_keys)
+        path_vec = np.concatenate(out_vec)
+        order = np.argsort(path_vec, kind="stable")
+        nodes = np.concatenate(out_nodes)[order]
+        keys = np.concatenate(out_keys)[order]
+        vector_offsets = np.zeros(num_vectors + 1, dtype=np.int64)
+        np.cumsum(np.bincount(path_vec, minlength=num_vectors), out=vector_offsets[1:])
 
-        results: list[PathGenerationResult] = []
-        for vector in range(num_vectors):
-            span = slice(int(finished_starts[vector]), int(finished_ends[vector]))
-            paths = [materialise(node) for node in finished_nodes[span].tolist()]
-            keys = [int(key) for key in finished_keys[span].tolist()]
-            if self._collect_at_max_depth:
-                if vector in parked:
-                    tail_nodes, tail_keys = parked[vector]
-                else:
-                    tail = slice(int(frontier_starts[vector]), int(frontier_ends[vector]))
-                    tail_nodes = f_nodes[tail]
-                    tail_keys = f_keys[tail]
-                for node, key in zip(tail_nodes.tolist(), tail_keys.tolist()):
-                    paths.append(materialise(node))
-                    keys.append(int(key))
-            results.append(
-                PathGenerationResult(
-                    paths=paths,
-                    truncated=bool(truncated[vector]),
-                    expansions=int(expansions[vector]),
-                    keys=keys,
-                )
-            )
-        return results
+        # Fill every path from its last item backwards: one gather per
+        # level walks all paths' parent pointers at once.
+        node_items = np.concatenate(arena_items)
+        node_parents = np.concatenate(arena_parents)
+        path_offsets = np.zeros(nodes.size + 1, dtype=np.int64)
+        np.cumsum(np.concatenate(arena_depths)[nodes], out=path_offsets[1:])
+        items = np.empty(int(path_offsets[-1]), dtype=np.int64)
+        cursor = path_offsets[1:] - 1
+        while nodes.size:
+            items[cursor] = node_items[nodes]
+            nodes = node_parents[nodes]
+            live = nodes >= 0
+            nodes = nodes[live]
+            cursor = cursor[live] - 1
+        return PathBatch(
+            items=items,
+            path_offsets=path_offsets,
+            keys=keys,
+            vector_offsets=vector_offsets,
+            truncated=truncated,
+            expansions=expansions,
+        )
 
     def _generate_batch_small(
         self,
         items_per_vector: Sequence[Sequence[int]],
         thresholds: Sequence[BoundThreshold],
         counters: np.ndarray,
-    ) -> list[PathGenerationResult]:
+    ) -> PathBatch:
         """Tuple-frontier batch generation for very small batches.
 
         The CSR kernel pipeline pays a fixed number of array operations per
@@ -726,18 +760,23 @@ class PathGenerator:
                 if state.truncated:
                     state.active = False
 
-        results: list[PathGenerationResult] = []
+        paths: list[Path] = []
+        keys: list[int] = []
+        vector_offsets = [0]
         for state in states:
+            paths += state.finished_paths
+            keys += state.finished_keys
             if self._collect_at_max_depth:
                 for path, key, _log, _positions in state.frontier:
-                    state.finished_paths.append(path)
-                    state.finished_keys.append(key)
-            results.append(
-                PathGenerationResult(
-                    paths=state.finished_paths,
-                    truncated=state.truncated,
-                    expansions=state.expansions,
-                    keys=state.finished_keys,
-                )
-            )
-        return results
+                    paths.append(path)
+                    keys.append(key)
+            vector_offsets.append(len(paths))
+        items, path_offsets = paths_to_csr(paths)
+        return PathBatch(
+            items=items,
+            path_offsets=path_offsets,
+            keys=np.asarray(keys, dtype=np.uint64),
+            vector_offsets=np.asarray(vector_offsets, dtype=np.int64),
+            truncated=np.asarray([state.truncated for state in states], dtype=np.bool_),
+            expansions=np.asarray([state.expansions for state in states], dtype=np.int64),
+        )

@@ -85,6 +85,11 @@ class SkewAdaptiveIndex:
         return self._distribution
 
     @property
+    def dimension(self) -> int:
+        """Universe size ``d``: item ids run over ``[0, d)``."""
+        return self._distribution.dimension
+
+    @property
     def b1(self) -> float:
         return self._config.b1
 

@@ -28,7 +28,7 @@ from typing import Any, Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.core.engine import DeadlineExceededError
-from repro.core.inverted_index import _segment_gather
+from repro.core.inverted_index import PathsCSR, _segment_gather
 from repro.core.mmap_store import MmapReadOnlyError, route_keys
 from repro.core.paths import paths_to_csr
 from repro.core.stats import ShardFanoutStats
@@ -241,7 +241,7 @@ class ShardRouter:
     def probe_batch_routed(
         self,
         repetition: int,
-        paths: Sequence[Path],
+        paths: PathsCSR,
         keys: Sequence[int] | np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Route, fan out, and merge one probe batch for one repetition.
@@ -252,12 +252,13 @@ class ShardRouter:
         stats counter derived from the route (``shards_probed``) agrees
         bit-for-bit across execution modes.
         """
-        num_probes = len(paths)
+        probe_items = np.asarray(paths[0], dtype=np.int64)
+        probe_offsets = np.asarray(paths[1], dtype=np.int64)
+        num_probes = probe_offsets.size - 1
         empty = np.empty(0, dtype=np.int64)
         if num_probes == 0:
             return empty, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
         keys_arr = np.ascontiguousarray(keys, dtype=np.uint64)
-        probe_items, probe_offsets = paths_to_csr(paths)
         probe_starts = probe_offsets[:-1]
         probe_lengths = np.diff(probe_offsets)
         route = route_keys(self._fences, keys_arr)
@@ -428,7 +429,7 @@ class RouterBackedFilterIndex:
 
     def probe_batch(
         self,
-        paths: Sequence[Path],
+        paths: PathsCSR,
         keys: Sequence[int] | np.ndarray,
         shard_workers: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -438,7 +439,7 @@ class RouterBackedFilterIndex:
 
     def probe_batch_routed(
         self,
-        paths: Sequence[Path],
+        paths: PathsCSR,
         keys: Sequence[int] | np.ndarray,
         shard_workers: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -453,7 +454,7 @@ class RouterBackedFilterIndex:
 
     def lookup_keyed(self, path: Path, key: int) -> list[int]:
         """:meth:`lookup` with the path's folded key already in hand."""
-        ids, _offsets = self.probe_batch([tuple(path)], [int(key)])
+        ids, _offsets = self.probe_batch(paths_to_csr([path]), [int(key)])
         return ids.tolist()
 
     def candidates(
@@ -463,7 +464,7 @@ class RouterBackedFilterIndex:
         paths = [tuple(path) for path in paths]
         if keys is None:
             keys = [fold_path(path) for path in paths]
-        ids, _offsets = self.probe_batch(paths, keys)
+        ids, _offsets = self.probe_batch(paths_to_csr(paths), keys)
         yield from ids.tolist()
 
     def __contains__(self, path: Path) -> bool:
@@ -474,9 +475,6 @@ class RouterBackedFilterIndex:
     # ------------------------------------------------------------------ #
 
     def add(self, *_args: Any, **_kwargs: Any) -> int:
-        raise MmapReadOnlyError(_ROUTER_READ_ONLY_ERROR)
-
-    def add_many(self, *_args: Any, **_kwargs: Any) -> int:
         raise MmapReadOnlyError(_ROUTER_READ_ONLY_ERROR)
 
     def add_postings(self, *_args: Any, **_kwargs: Any) -> None:

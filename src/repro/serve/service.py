@@ -233,13 +233,26 @@ class QueryService:
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def _parse_query(value: Any, what: str = "query") -> frozenset[int]:
+    def _parse_query(
+        value: Any, served: _ServedIndex, what: str = "query"
+    ) -> frozenset[int]:
+        """A query set of item ids in the served index's universe, or a 400.
+
+        Only JSON integers are item ids (``1.5``, ``"7"`` and ``true`` are
+        not), and each must lie in ``[0, dimension)``: a bad item fails its
+        own request here instead of the whole micro-batch it would join.
+        """
         if not isinstance(value, (list, tuple)) or not value:
             raise ApiError(400, f"'{what}' must be a non-empty list of item ids")
-        try:
-            return frozenset(int(item) for item in value)
-        except (TypeError, ValueError):
-            raise ApiError(400, f"'{what}' must contain only integers") from None
+        dimension = served.index.dimension
+        for item in value:
+            if not isinstance(item, int) or isinstance(item, bool):
+                raise ApiError(400, f"'{what}' must contain only integers, got {item!r}")
+            if not 0 <= item < dimension:
+                raise ApiError(
+                    400, f"'{what}' item {item} is outside the universe [0, {dimension})"
+                )
+        return frozenset(value)
 
     @staticmethod
     def _parse_mode(payload: Mapping[str, Any]) -> str:
@@ -353,7 +366,7 @@ class QueryService:
     ) -> dict[str, Any]:
         """``POST /query`` — one query through the micro-batcher."""
         served = self._resolve(payload)
-        query = self._parse_query(payload.get("query"))
+        query = self._parse_query(payload.get("query"), served)
         mode = self._parse_mode(payload)
         deadline = self._deadline_from(headers)
         try:
@@ -377,7 +390,9 @@ class QueryService:
         raw = payload.get("queries")
         if not isinstance(raw, (list, tuple)) or not raw:
             raise ApiError(400, "'queries' must be a non-empty list of query sets")
-        queries = [self._parse_query(entry, what=f"queries[{i}]") for i, entry in enumerate(raw)]
+        queries = [
+            self._parse_query(entry, served, what=f"queries[{i}]") for i, entry in enumerate(raw)
+        ]
         mode = self._parse_mode(payload)
         allow_partial = self._parse_allow_partial(payload)
         deadline = self._deadline_from(headers)
@@ -412,7 +427,9 @@ class QueryService:
         raw = payload.get("probes")
         if not isinstance(raw, (list, tuple)) or not raw:
             raise ApiError(400, "'probes' must be a non-empty list of probe sets")
-        probes = [self._parse_query(entry, what=f"probes[{i}]") for i, entry in enumerate(raw)]
+        probes = [
+            self._parse_query(entry, served, what=f"probes[{i}]") for i, entry in enumerate(raw)
+        ]
         if served.batcher.inflight_queries + len(probes) > self.config.max_pending_queries:
             raise self._shed(
                 Overloaded(

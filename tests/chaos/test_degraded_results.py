@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.paths import paths_to_csr
 from repro.dist import shard_router_of
 from repro.dist.breaker import STATE_OPEN
 from repro.dist.transport import ShardUnavailableError
@@ -21,12 +22,12 @@ NUM_SHARDS = 4
 
 
 def _probe_plan(chaos_mmap, queries):
-    """Real (paths, keys) probe traffic, derived from the engine's filters."""
+    """Real (CSR paths, keys) probe traffic, derived from the engine's filters."""
     paths = []
     for query in queries:
         paths.extend(chaos_mmap._engine.query_filters(query, 0))
     keys = np.asarray([fold_path(path) for path in paths], dtype=np.uint64)
-    return paths, keys
+    return paths_to_csr(paths), keys
 
 
 def test_degraded_probes_are_full_probes_restricted_to_live_shards(

@@ -170,19 +170,23 @@ class TestChunkProbeDedupe:
         distinct filters share a forced 64-bit key must not see each other's
         postings (regression test for a key-only dedupe)."""
         from repro.core.inverted_index import InvertedFilterIndex
-        from repro.core.paths import PathGenerationResult
+        from repro.core.paths import PathBatch
 
         probabilities, dataset = small_dataset
         engine = make_engine(probabilities, len(dataset))
         engine.build(dataset[:4])
         inverted = InvertedFilterIndex()
-        inverted.add(0, [(1, 2)], keys=[777])
+        inverted.add([0], [1, 2], [0, 2], keys=[777])
         inverted.compact()
-        generations = [
-            PathGenerationResult(paths=[(1, 2)], truncated=False, expansions=1, keys=[777]),
-            PathGenerationResult(paths=[(3, 4)], truncated=False, expansions=1, keys=[777]),
-        ]
-        probe = engine._probe_chunk_repetition(inverted, generations)
+        batch = PathBatch(
+            items=np.asarray([1, 2, 3, 4]),
+            path_offsets=np.asarray([0, 2, 4]),
+            keys=np.asarray([777, 777], dtype=np.uint64),
+            vector_offsets=np.asarray([0, 1, 2]),
+            truncated=np.zeros(2, dtype=bool),
+            expansions=np.ones(2, dtype=np.int64),
+        )
+        probe = engine._probe_chunk_repetition(inverted, batch)
         assert probe is not None
         occurrence_ids, query_offsets, distinct, duplicate, _shards, _query_shards = probe
         first = occurrence_ids[query_offsets[0] : query_offsets[1]].tolist()

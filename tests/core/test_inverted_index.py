@@ -6,28 +6,46 @@ import numpy as np
 import pytest
 
 from repro.core.inverted_index import STATE_ARRAY_NAMES, InvertedFilterIndex
+from repro.core.paths import paths_to_csr
 from repro.hashing.pairwise import fold_path
+
+
+def _add(index, vector_id, paths, keys=None):
+    """File every path of ``paths`` under ``vector_id`` through the CSR API."""
+    items, offsets = paths_to_csr(paths)
+    return index.add([vector_id] * len(paths), items, offsets, keys)
 
 
 class TestAdd:
     def test_add_returns_count(self):
         index = InvertedFilterIndex()
-        assert index.add(0, [(1, 2), (3,)]) == 2
+        assert _add(index, 0, [(1, 2), (3,)]) == 2
 
     def test_negative_vector_id_rejected(self):
         with pytest.raises(ValueError):
-            InvertedFilterIndex().add(-1, [(1,)])
+            _add(InvertedFilterIndex(), -1, [(1,)])
 
-    def test_add_many_uses_positions(self):
+    def test_add_files_each_path_under_its_vector_id(self):
         index = InvertedFilterIndex()
-        total = index.add_many([[(1,)], [(1,), (2,)]])
+        total = index.add([0, 1, 1], *paths_to_csr([(1,), (1,), (2,)]))
         assert total == 3
         assert index.lookup((1,)) == [0, 1]
         assert index.lookup((2,)) == [1]
 
+    def test_vector_id_count_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            InvertedFilterIndex().add([0], *paths_to_csr([(1,), (2,)]))
+
+    @pytest.mark.parametrize("offsets", [[], [1, 2], [0, 1], [0, 2, 1, 2]])
+    def test_malformed_offsets_rejected(self, offsets):
+        index = InvertedFilterIndex()
+        with pytest.raises(ValueError):
+            index.add([0] * max(len(offsets) - 1, 0), [7, 8], offsets)
+        assert index.total_entries == 0
+
     def test_duplicate_paths_allowed(self):
         index = InvertedFilterIndex()
-        index.add(0, [(1, 2), (1, 2)])
+        _add(index, 0, [(1, 2), (1, 2)])
         assert index.lookup((1, 2)) == [0, 0]
         assert index.total_entries == 2
 
@@ -38,7 +56,7 @@ class TestLookup:
 
     def test_contains(self):
         index = InvertedFilterIndex()
-        index.add(3, [(4, 5)])
+        _add(index, 3, [(4, 5)])
         assert (4, 5) in index
         assert (5, 4) not in index
 
@@ -46,51 +64,52 @@ class TestLookup:
         """candidates() yields one entry per shared filter, matching the
         paper's work measure sum_x |F(q) ∩ F(x)|."""
         index = InvertedFilterIndex()
-        index.add(0, [(1,), (2,)])
-        index.add(1, [(1,)])
+        _add(index, 0, [(1,), (2,)])
+        _add(index, 1, [(1,)])
         candidates = list(index.candidates([(1,), (2,), (3,)]))
         assert sorted(candidates) == [0, 0, 1]
 
     def test_lists_convert_to_tuples(self):
         index = InvertedFilterIndex()
-        index.add(0, [[7, 8]])
+        index.add([0], [7, 8], [0, 2])
         assert index.lookup((7, 8)) == [0]
+        assert index.lookup([7, 8]) == [0]
 
 
 class TestStatistics:
     def test_counts(self):
         index = InvertedFilterIndex()
-        index.add(0, [(1,), (2,)])
-        index.add(1, [(1,)])
+        _add(index, 0, [(1,), (2,)])
+        _add(index, 1, [(1,)])
         assert index.num_filters == 2
         assert index.total_entries == 3
         assert len(index) == 2
 
     def test_posting_sizes(self):
         index = InvertedFilterIndex()
-        index.add(0, [(1,), (2,)])
-        index.add(1, [(1,)])
+        _add(index, 0, [(1,), (2,)])
+        _add(index, 1, [(1,)])
         assert sorted(index.posting_sizes()) == [1, 2]
 
     def test_heaviest_filters(self):
         index = InvertedFilterIndex()
-        index.add(0, [(1,)])
-        index.add(1, [(1,), (2,)])
-        index.add(2, [(1,)])
+        _add(index, 0, [(1,)])
+        _add(index, 1, [(1,), (2,)])
+        _add(index, 2, [(1,)])
         heaviest = index.heaviest_filters(1)
         assert heaviest == [((1,), 3)]
 
     def test_repr(self):
         index = InvertedFilterIndex()
-        index.add(0, [(1,)])
+        _add(index, 0, [(1,)])
         assert "num_filters=1" in repr(index)
 
 
 def _populated() -> InvertedFilterIndex:
     index = InvertedFilterIndex()
-    index.add(0, [(1,), (2, 3), (4,)])
-    index.add(1, [(2, 3), (4,)])
-    index.add(2, [(4,), (4,)])
+    _add(index, 0, [(1,), (2, 3), (4,)])
+    _add(index, 1, [(2, 3), (4,)])
+    _add(index, 2, [(4,), (4,)])
     return index
 
 
@@ -98,14 +117,14 @@ class TestKeyedAdd:
     def test_add_with_precomputed_keys(self):
         index = InvertedFilterIndex()
         paths = [(1, 2), (3,)]
-        index.add(5, paths, keys=[fold_path(path) for path in paths])
+        _add(index, 5, paths, keys=[fold_path(path) for path in paths])
         assert index.lookup((1, 2)) == [5]
         assert index.lookup((3,)) == [5]
 
     def test_key_count_mismatch_rejected(self):
         index = InvertedFilterIndex()
         with pytest.raises(ValueError):
-            index.add(0, [(1,), (2,)], keys=[fold_path((1,))])
+            _add(index, 0, [(1,), (2,)], keys=[fold_path((1,))])
         # The failed add must not have mutated the index.
         assert index.num_filters == 0
         assert index.total_entries == 0
@@ -131,9 +150,9 @@ class TestKeyCollisions:
 
     def _collided(self) -> InvertedFilterIndex:
         index = InvertedFilterIndex()
-        index.add(0, [(1, 2)], keys=[self.SAME_KEY])
-        index.add(1, [(3, 4)], keys=[self.SAME_KEY])
-        index.add(2, [(1, 2)], keys=[self.SAME_KEY])
+        _add(index, 0, [(1, 2)], keys=[self.SAME_KEY])
+        _add(index, 1, [(3, 4)], keys=[self.SAME_KEY])
+        _add(index, 2, [(1, 2)], keys=[self.SAME_KEY])
         return index
 
     def test_collided_paths_stay_separate(self):
@@ -148,7 +167,7 @@ class TestKeyCollisions:
         index.compact()
         assert index.lookup_keyed((1, 2), self.SAME_KEY) == [0, 2]
         assert index.lookup_keyed((3, 4), self.SAME_KEY) == [1]
-        index.add(7, [(3, 4)], keys=[self.SAME_KEY])
+        _add(index, 7, [(3, 4)], keys=[self.SAME_KEY])
         assert index.lookup_keyed((3, 4), self.SAME_KEY) == [1, 7]
 
     def test_from_state_rebuilds_collision_chain(self):
@@ -191,7 +210,7 @@ class TestCompaction:
     def test_adds_after_compact_append_in_order(self):
         index = _populated()
         index.compact()
-        index.add(7, [(4,), (8, 8)])
+        _add(index, 7, [(4,), (8, 8)])
         assert index.lookup((4,)) == [0, 1, 2, 2, 7]
         assert index.lookup((8, 8)) == [7]
         index.compact()
@@ -212,7 +231,7 @@ class TestProbeBatch:
         index = _populated()
         paths = [(1,), (2, 3), (4,), (9, 9), (2, 3)]
         keys = [fold_path(path) for path in paths]
-        ids, offsets = index.probe_batch(paths, keys)
+        ids, offsets = index.probe_batch(paths_to_csr(paths), keys)
         assert offsets.tolist()[0] == 0
         assert offsets.size == len(paths) + 1
         for position, path in enumerate(paths):
@@ -220,23 +239,25 @@ class TestProbeBatch:
             assert segment == index.lookup(path)
 
     def test_empty_probe_list(self):
-        ids, offsets = _populated().probe_batch([], [])
+        ids, offsets = _populated().probe_batch(paths_to_csr([]), [])
         assert ids.size == 0
         assert offsets.tolist() == [0]
 
     def test_empty_index(self):
         index = InvertedFilterIndex()
         paths = [(1,), (2,)]
-        ids, offsets = index.probe_batch(paths, [fold_path(p) for p in paths])
+        keys = [fold_path(p) for p in paths]
+        ids, offsets = index.probe_batch(paths_to_csr(paths), keys)
         assert ids.size == 0
         assert offsets.tolist() == [0, 0, 0]
 
     def test_auto_compacts_pending_postings(self):
         index = _populated()
         index.compact()
-        index.add(9, [(4,), (8, 8)])
+        _add(index, 9, [(4,), (8, 8)])
         paths = [(4,), (8, 8)]
-        ids, offsets = index.probe_batch(paths, [fold_path(p) for p in paths])
+        keys = [fold_path(p) for p in paths]
+        ids, offsets = index.probe_batch(paths_to_csr(paths), keys)
         assert ids[offsets[0] : offsets[1]].tolist() == [0, 1, 2, 2, 9]
         assert ids[offsets[1] : offsets[2]].tolist() == [9]
 
@@ -244,19 +265,19 @@ class TestProbeBatch:
         """A probe whose 64-bit key matches a stored slot but whose path
         differs (a forced fold collision) must come back empty."""
         index = InvertedFilterIndex()
-        index.add(0, [(1, 2)], keys=[777])
+        _add(index, 0, [(1, 2)], keys=[777])
         index.compact()
-        ids, offsets = index.probe_batch([(3, 4), (1, 2)], [777, 777])
+        ids, offsets = index.probe_batch(paths_to_csr([(3, 4), (1, 2)]), [777, 777])
         assert ids[offsets[0] : offsets[1]].tolist() == []
         assert ids[offsets[1] : offsets[2]].tolist() == [0]
 
     def test_chained_collision_slots_resolved(self):
         index = InvertedFilterIndex()
-        index.add(0, [(1, 2)], keys=[777])
-        index.add(1, [(3, 4)], keys=[777])
-        index.add(2, [(1, 2)], keys=[777])
+        _add(index, 0, [(1, 2)], keys=[777])
+        _add(index, 1, [(3, 4)], keys=[777])
+        _add(index, 2, [(1, 2)], keys=[777])
         paths = [(1, 2), (3, 4), (5, 6)]
-        ids, offsets = index.probe_batch(paths, [777, 777, 777])
+        ids, offsets = index.probe_batch(paths_to_csr(paths), [777, 777, 777])
         assert ids[offsets[0] : offsets[1]].tolist() == [0, 2]
         assert ids[offsets[1] : offsets[2]].tolist() == [1]
         assert ids[offsets[2] : offsets[3]].tolist() == []
@@ -274,10 +295,10 @@ class TestBulkCompaction:
         everything before a single compact."""
         incremental = _populated()
         incremental.compact()
-        incremental.add(7, [(4,), (8, 8), (1,)])
+        _add(incremental, 7, [(4,), (8, 8), (1,)])
         incremental.compact()
         fresh = _populated()
-        fresh.add(7, [(4,), (8, 8), (1,)])
+        _add(fresh, 7, [(4,), (8, 8), (1,)])
         fresh.compact()
         for path in [(1,), (2, 3), (4,), (8, 8), (9, 9)]:
             assert incremental.lookup(path) == fresh.lookup(path)
@@ -318,8 +339,8 @@ class TestBulkCompaction:
             assert restored.lookup(path) == index.lookup(path)
         paths = [(1,), (2, 3), (4,)]
         keys = [fold_path(p) for p in paths]
-        ids, offsets = restored.probe_batch(paths, keys)
-        expected_ids, expected_offsets = index.probe_batch(paths, keys)
+        ids, offsets = restored.probe_batch(paths_to_csr(paths), keys)
+        expected_ids, expected_offsets = index.probe_batch(paths_to_csr(paths), keys)
         assert ids.tolist() == expected_ids.tolist()
         assert offsets.tolist() == expected_offsets.tolist()
 
@@ -341,7 +362,7 @@ class TestStateRoundTrip:
 
     def test_restored_index_accepts_new_postings(self):
         restored = InvertedFilterIndex.from_state(_populated().to_state())
-        restored.add(9, [(4,), (5, 6)])
+        _add(restored, 9, [(4,), (5, 6)])
         assert restored.lookup((4,)) == [0, 1, 2, 2, 9]
         assert restored.lookup((5, 6)) == [9]
 

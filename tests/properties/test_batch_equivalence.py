@@ -43,8 +43,9 @@ def test_generate_batch_equals_generate(probabilities, vectors, seed):
     sorted_vectors = [sorted(vector) for vector in vectors]
     bounds = [policy.bind(members) for members in sorted_vectors]
     batch = generator.generate_batch(sorted_vectors, bounds)
-    for members, bound, batched in zip(sorted_vectors, bounds, batch):
+    for vector, (members, bound) in enumerate(zip(sorted_vectors, bounds)):
         single = generator.generate(members, bound)
+        batched = batch.result(vector)
         assert single.paths == batched.paths
         assert single.truncated == batched.truncated
         assert single.expansions == batched.expansions

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.inverted_index import InvertedFilterIndex
-from repro.core.paths import PathGenerator
+from repro.core.paths import PathGenerator, paths_to_csr
 from repro.core.thresholds import AdversarialThreshold, CorrelatedThreshold
 from repro.data.distributions import ItemDistribution
 from repro.hashing.pairwise import PathHasher
@@ -102,7 +102,8 @@ def test_inverted_index_total_entries_invariant(filters_per_vector):
     index = InvertedFilterIndex()
     expected_total = 0
     for vector_id, paths in enumerate(filters_per_vector):
-        expected_total += index.add(vector_id, paths)
+        items, offsets = paths_to_csr(paths)
+        expected_total += index.add([vector_id] * len(paths), items, offsets)
     assert index.total_entries == expected_total
     assert sum(index.posting_sizes()) == expected_total
 

@@ -157,15 +157,15 @@ def test_small_and_large_batches_agree(backend, skewed_distribution, skewed_data
     bounds = [policy.bind(members) for members in vectors]
 
     large_counters = new_counters()
-    large = generator.generate_batch(vectors, bounds, counters=large_counters)
+    large_batch = generator.generate_batch(vectors, bounds, counters=large_counters)
+    large = [large_batch.result(vector) for vector in range(len(vectors))]
     assert len(vectors) > _SMALL_BATCH_MAX  # the batch above took the kernel path
 
     small_counters = new_counters()
-    small = []
-    for members, bound in zip(vectors, bounds):
-        small.extend(
-            generator.generate_batch([members], [bound], counters=small_counters)
-        )
+    small = [
+        generator.generate_batch([members], [bound], counters=small_counters).result(0)
+        for members, bound in zip(vectors, bounds)
+    ]
 
     for one, many in zip(small, large):
         assert one.paths == many.paths

@@ -69,6 +69,30 @@ def test_concurrent_clients_coalesce_and_results_match(server, saved_index):
     assert latency["p50_ms"] <= latency["p99_ms"] <= latency["max_ms"]
 
 
+def test_bad_query_fails_alone_in_a_coalesced_burst(make_server, saved_index):
+    """One out-of-universe query among ten valid concurrent ones gets its own
+    400; the ten others get 200s bit-identical to running each alone."""
+    harness = make_server(batch_window_ms=50.0, max_batch_queries=64)
+    queries = [sorted(query) for query in saved_index.dataset[:10]]
+    alone = [harness.request("POST", "/query", {"query": query}) for query in queries]
+    payloads = [{"query": query} for query in queries]
+    payloads.insert(5, {"query": [1, 1000000]})
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=len(payloads)) as pool:
+        responses = list(
+            pool.map(lambda payload: harness.request("POST", "/query", payload), payloads)
+        )
+
+    bad_status, _, bad_body = responses.pop(5)
+    assert bad_status == 400
+    assert "outside the universe" in bad_body["error"]
+    for (status, _, body), (alone_status, _, alone_body) in zip(responses, alone):
+        assert status == alone_status == 200
+        assert body == alone_body
+    _, _, stats = harness.request("GET", "/stats")
+    assert stats["indexes"]["default"]["coalesced_calls"] >= 1
+
+
 def test_query_batch_and_similarity_join_over_http(server, saved_index):
     queries = [sorted(q) for q in saved_index.dataset[:6]]
     status, _, body = server.request(

@@ -252,6 +252,47 @@ def test_request_validation_errors(saved_index):
     }
 
 
+def test_query_items_must_be_integers_in_the_universe(saved_index):
+    """Floats, strings, booleans and out-of-universe ids are rejected with a
+    400 at the boundary; ``int()`` used to turn ``1.5`` into item 1."""
+    dimension = saved_index.index.dimension
+
+    async def body():
+        service = make_service(saved_index)
+        await service.start()
+        errors = {}
+        try:
+            for name, call in {
+                "float": service.query({"query": [1.5]}),
+                "string": service.query({"query": ["7"]}),
+                "bool": service.query({"query": [True]}),
+                "negative": service.query({"query": [-1]}),
+                "too-large": service.query({"query": [dimension]}),
+                "batch-entry": service.query_batch({"queries": [[1], [1000000]]}),
+                "join-probe": service.similarity_join_endpoint({"probes": [[2.0]]}),
+            }.items():
+                try:
+                    await call
+                except ApiError as error:
+                    errors[name] = error.status
+            edge = await service.query({"query": [0, dimension - 1]})
+        finally:
+            await service.close()
+        return errors, edge
+
+    errors, edge = run(body())
+    assert errors == {
+        "float": 400,
+        "string": 400,
+        "bool": 400,
+        "negative": 400,
+        "too-large": 400,
+        "batch-entry": 400,
+        "join-probe": 400,
+    }
+    assert edge["match"] == saved_index.index.query([0, dimension - 1])[0]
+
+
 def test_similarity_join_endpoint_matches_library_call(saved_index):
     from repro.core.join import similarity_join
     from repro.similarity.predicates import SimilarityPredicate
